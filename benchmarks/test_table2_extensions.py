@@ -21,9 +21,6 @@ from repro.xdp.builtins import NullProgram, VlanStripProgram
 
 def run_build(label):
     pipeline_config = PipelineConfig.full()
-    kwargs = {}
-    if label == "profiling":
-        pipeline_config.tracepoints_enabled = True
     bench = EchoBench(
         "flextoe",
         n_connections=32,

@@ -8,7 +8,8 @@ path-sensitive:
   program, including targets one past the end;
 * no unreachable code;
 * registers are initialized on *every* path before use (facts meet at
-  control-flow joins, so one-arm initialization does not survive);
+  control-flow joins, so one-arm initialization does not survive),
+  including r0, the return code, at ``exit``;
 * scalars and pointers are distinguished; loads and stores through
   context, stack, packet, and map-value pointers are bounds-checked
   against their region, packet accesses additionally against the
@@ -218,6 +219,7 @@ class _Verifier:
         insn = self.program[index]
         base, _, mode = insn.op.partition(".")
         if base == "exit":
+            self.check_read(index, state, 0, "exit")
             return []
         if base == "call":
             self.apply_call(index, insn, state)

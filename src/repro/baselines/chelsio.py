@@ -22,7 +22,6 @@ class ChelsioPersonality(Personality):
             delayed_ack_segments=2,
             rto_ns=5_000_000,
             min_rto_ns=5_000_000,
-            use_dctcp=True,
         )
         super().__init__(CHELSIO_COSTS, config)
         self.nic_tcp = True

@@ -10,10 +10,14 @@ Feature matrix (selected per stack by :class:`TcpEngineConfig`):
   (go-back-N on 3 dup-ACKs, TAS), ``"rto_only"`` (Chelsio TOE).
 * reassembly: ``"full"`` (arbitrary OOO queue, Linux), ``"interval"``
   (one interval, like FlexTOE), ``"drop"`` (discard OOO, TAS).
-* DCTCP ECN reaction and NewReno-style cwnd control.
-* delayed ACKs, window-scale 7, RFC 7323 timestamps, zero-window probes.
+* delayed ACKs (segment count per stack).
+
+Common to every stack: DCTCP ECN reaction (frames carry ECT(0)) with
+NewReno-style cwnd control, window-scale 7, RFC 7323 timestamps, and
+zero-window probes.
 """
 
+from repro.proto.ip import ECN_ECT0
 from repro.proto.packet import make_tcp_frame
 from repro.proto.tcp import (
     FLAG_ACK,
@@ -22,6 +26,7 @@ from repro.proto.tcp import (
     FLAG_PSH,
     FLAG_RST,
     FLAG_SYN,
+    MSS,
     TcpOptions,
     seq_add,
     seq_diff,
@@ -29,6 +34,11 @@ from repro.proto.tcp import (
 
 WINDOW_SCALE = 7
 SEQ_MASK = 0xFFFFFFFF
+
+#: Ceiling of the exponentially backed-off retransmission timeout.
+MAX_RTO_NS = 64_000_000
+#: DCTCP's EWMA gain for the marked fraction alpha.
+DCTCP_G = 1.0 / 16.0
 
 # Connection states.
 SYN_SENT = "syn-sent"
@@ -43,19 +53,15 @@ CLOSED = "closed"
 class TcpEngineConfig:
     def __init__(
         self,
-        mss=1448,
+        mss=MSS,
         recovery="sack",
         reassembly="full",
         delayed_ack_segments=1,
         init_cwnd_segments=10,
         rto_ns=1_000_000,
         min_rto_ns=200_000,
-        max_rto_ns=64_000_000,
-        use_dctcp=True,
-        use_timestamps=True,
         rx_buffer=256 * 1024,
         tx_buffer=256 * 1024,
-        dctcp_g=1.0 / 16.0,
     ):
         self.mss = mss
         self.recovery = recovery
@@ -64,12 +70,8 @@ class TcpEngineConfig:
         self.init_cwnd_segments = init_cwnd_segments
         self.rto_ns = rto_ns
         self.min_rto_ns = min_rto_ns
-        self.max_rto_ns = max_rto_ns
-        self.use_dctcp = use_dctcp
-        self.use_timestamps = use_timestamps
         self.rx_buffer = rx_buffer
         self.tx_buffer = tx_buffer
-        self.dctcp_g = dctcp_g
 
 
 class TcpConn:
@@ -207,9 +209,8 @@ class HostTcpEngine:
             options.mss = self.config.mss
             options.wscale = WINDOW_SCALE
             options.sack_permitted = self.config.recovery == "sack"
-        if self.config.use_timestamps:
-            options.ts_val = (now // 1000) & SEQ_MASK
-            options.ts_ecr = conn.peer_ts
+        options.ts_val = (now // 1000) & SEQ_MASK
+        options.ts_ecr = conn.peer_ts
         if not syn and self.config.recovery == "sack" and conn.rx_ooo:
             for start, data in conn.rx_ooo[:3]:
                 options.sack_blocks.append(
@@ -235,7 +236,7 @@ class HostTcpEngine:
             window=conn.advertised_window(),
             payload=payload,
             options=self._options(conn, now, syn=syn),
-            ecn=0b10 if self.config.use_dctcp else 0,
+            ecn=ECN_ECT0,
             born_at=now,
         )
         return frame
@@ -508,11 +509,9 @@ class HostTcpEngine:
             conn.win_marked += acked
         if conn.snd_una_pos >= conn.win_end_pos:
             # A congestion window's worth of data acked: update alpha.
-            if config.use_dctcp and conn.win_acked > 0:
+            if conn.win_acked > 0:
                 fraction = conn.win_marked / conn.win_acked
-                conn.dctcp_alpha = (
-                    (1 - config.dctcp_g) * conn.dctcp_alpha + config.dctcp_g * fraction
-                )
+                conn.dctcp_alpha = (1 - DCTCP_G) * conn.dctcp_alpha + DCTCP_G * fraction
                 if fraction > 0:
                     conn.cwnd = max(config.mss, int(conn.cwnd * (1 - conn.dctcp_alpha / 2)))
             conn.win_acked = 0
@@ -575,7 +574,7 @@ class HostTcpEngine:
 
     def _rto(self, conn):
         rto = self.config.rto_ns << min(6, conn.rto_backoff)
-        return max(self.config.min_rto_ns, min(self.config.max_rto_ns, rto))
+        return max(self.config.min_rto_ns, min(MAX_RTO_NS, rto))
 
     # -- transmission ------------------------------------------------------------
 

@@ -56,12 +56,25 @@ from repro.proto import (
     Frame,
     make_tcp_frame,
 )
-from repro.proto.tcp import FLAG_ACK, FLAG_RST, FLAG_SYN, TcpOptions
+from repro.proto.tcp import FLAG_ACK, FLAG_RST, FLAG_SYN, MSS, TcpOptions
 
 BROADCAST_MAC = (1 << 48) - 1
 
 #: Control-plane context-queue id (reserved; app contexts start at 1).
 CONTROL_CONTEXT = 0
+
+#: Floor of the data retransmission timeout (scaled up by the RTT).
+RTO_NS = 250_000
+#: SYN / SYN-ACK retransmission timeout.
+SYN_RTO_NS = 1_000_000
+#: Period of the retransmission/teardown timer loop.
+TIMER_TICK_NS = 50_000
+#: Period of the congestion-control rate loop.
+CC_INTERVAL_NS = 50_000
+#: A closing connection is removed after this long even if not done.
+LINGER_NS = 2_000_000
+#: Secret mixed into stateless SYN-cookie ISNs.
+SYN_COOKIE_SECRET = 0x5EED_CAFE
 
 
 class ControlPlaneConfig:
@@ -69,43 +82,24 @@ class ControlPlaneConfig:
         self,
         rx_buffer_size=256 * 1024,
         tx_buffer_size=256 * 1024,
-        rto_ns=250_000,
-        syn_rto_ns=1_000_000,
-        timer_tick_ns=50_000,
-        cc_interval_ns=50_000,
-        linger_ns=2_000_000,
-        mss=1448,
         max_syn_retries=8,
         max_data_retries=10,
         rto_max_ns=4_000_000,
         recovery_enabled=True,
-        watchdog_enabled=True,
-        watchdog_interval_ns=100_000,
-        watchdog_miss_threshold=3,
         snapshot_interval_ns=250_000,
         reboot_delay_ns=100_000,
         syn_defense_enabled=False,
         embryonic_limit=64,
         half_open_timeout_ns=4_000_000,
-        syn_cookie_secret=0x5EED_CAFE,
         challenge_ack_limit=3,
         challenge_ack_interval_ns=1_000_000,
     ):
         self.rx_buffer_size = rx_buffer_size
         self.tx_buffer_size = tx_buffer_size
-        self.rto_ns = rto_ns
-        self.syn_rto_ns = syn_rto_ns
-        self.timer_tick_ns = timer_tick_ns
-        self.cc_interval_ns = cc_interval_ns
-        self.linger_ns = linger_ns
-        self.mss = mss
         self.max_syn_retries = max_syn_retries
         self.max_data_retries = max_data_retries
         self.rto_max_ns = rto_max_ns
         self.recovery_enabled = recovery_enabled
-        self.watchdog_enabled = watchdog_enabled
-        self.watchdog_interval_ns = watchdog_interval_ns
-        self.watchdog_miss_threshold = watchdog_miss_threshold
         self.snapshot_interval_ns = snapshot_interval_ns
         self.reboot_delay_ns = reboot_delay_ns
         # Overload defense (off by default: the legacy accept-on-SYN-ACK
@@ -113,7 +107,6 @@ class ControlPlaneConfig:
         self.syn_defense_enabled = syn_defense_enabled
         self.embryonic_limit = embryonic_limit
         self.half_open_timeout_ns = half_open_timeout_ns
-        self.syn_cookie_secret = syn_cookie_secret
         # RFC 5961 challenge-ACK rate limit (responses per interval,
         # shared with RSTs answering segments for unknown connections).
         self.challenge_ack_limit = challenge_ack_limit
@@ -233,7 +226,7 @@ class ControlPlane:
         return self._ephemeral_port
 
     def _syn_options(self):
-        return TcpOptions(mss=self.config.mss, wscale=WINDOW_SCALE, sack_permitted=False)
+        return TcpOptions(mss=MSS, wscale=WINDOW_SCALE, sack_permitted=False)
 
     def _alloc_buffers(self):
         rx_region = self.machine.memory.alloc(self.config.rx_buffer_size)
@@ -585,7 +578,7 @@ class ControlPlane:
             local_port & 0xFFFF,
             remote_port & 0xFFFF,
             irs & 0xFFFFFFFF,
-            self.config.syn_cookie_secret & 0xFFFFFFFF,
+            SYN_COOKIE_SECRET,
         )
         return zlib.crc32(material) & 0xFFFFFFFF
 
@@ -726,7 +719,7 @@ class ControlPlane:
     def _timer_loop(self):
         config = self.config
         while True:
-            yield self.sim.timeout(config.timer_tick_ns)
+            yield self.sim.timeout(TIMER_TICK_NS)
             if self.recovery is not None and self.recovery.degraded:
                 # The data path is down and being recovered: nothing to
                 # retransmit into, and outage time must not count toward
@@ -746,7 +739,7 @@ class ControlPlane:
                     self._note_pending_gone(pending)
                     self.embryonic_reaped += 1
                     continue
-                if now - pending.last_sent_at < config.syn_rto_ns:
+                if now - pending.last_sent_at < SYN_RTO_NS:
                     continue
                 if pending.attempts >= config.max_syn_retries:
                     self.pending.pop(pending.four_tuple, None)
@@ -770,7 +763,7 @@ class ControlPlane:
             # Data-path retransmission timeouts and zero-window probes.
             for entry in self.directory:
                 proto = entry.record.proto
-                base_rto = max(config.rto_ns, 4_000 * max(1, entry.record.post.rtt_est))
+                base_rto = max(RTO_NS, 4_000 * max(1, entry.record.post.rtt_est))
                 rto = min(base_rto * entry.rto_multiplier, config.rto_max_ns)
                 if proto.remote_win == 0 and (proto.tx_sent > 0 or proto.tx_avail > 0):
                     # Persist state: the peer (or its slow-path shim)
@@ -817,7 +810,7 @@ class ControlPlane:
                         and proto.tx_sent == 0
                         and proto.rx_fin_seq is not None
                     )
-                    lingered = now - entry.close_requested_at > config.linger_ns
+                    lingered = now - entry.close_requested_at > LINGER_NS
                     if done or lingered:
                         self.directory.remove(entry.index)
                         self.nic.remove_connection(entry.index)
@@ -827,9 +820,8 @@ class ControlPlane:
     # -- congestion control ---------------------------------------------------
 
     def _cc_loop(self):
-        config = self.config
         while True:
-            yield self.sim.timeout(config.cc_interval_ns)
+            yield self.sim.timeout(CC_INTERVAL_NS)
             if not self.cc_enabled:
                 continue
             if self.recovery is not None and self.recovery.degraded:

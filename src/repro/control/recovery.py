@@ -7,7 +7,7 @@ the data path when it dies. This module adds the three pieces:
 * **Watchdog** — FPC stage groups publish heartbeat sequence numbers
   into CTM/EMEM (:class:`repro.flextoe.state.HeartbeatBoard`); the
   :class:`RecoveryManager` samples the board over MMIO on its own tick
-  and declares the data path failed after ``watchdog_miss_threshold``
+  and declares the data path failed after ``WATCHDOG_MISS_THRESHOLD``
   consecutive samples with no advancing beat.
 
 * **Connection-state shadow + re-offload** — the control plane cannot
@@ -54,6 +54,12 @@ from repro.flextoe.state import ProtocolState
 from repro.nfp.cam import pack_four_tuple
 from repro.proto import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, make_tcp_frame
 from repro.proto.tcp import seq_add
+
+#: Period at which the watchdog samples the NIC heartbeat board.
+WATCHDOG_INTERVAL_NS = 100_000
+#: Consecutive samples with no advancing beat that declare the data
+#: path failed.
+WATCHDOG_MISS_THRESHOLD = 3
 
 
 class ConnShadow(SlabView):
@@ -318,8 +324,7 @@ class RecoveryManager:
         self.shim = SlowPathShim(plane, self, station.port) if station is not None else None
         if self.config.snapshot_interval_ns:
             self.nic.enable_state_snapshots(self._write_snapshot, self.config.snapshot_interval_ns)
-        if self.config.watchdog_enabled:
-            self.sim.process(self._watchdog_loop(), name="cp-watchdog")
+        self.sim.process(self._watchdog_loop(), name="cp-watchdog")
 
     # -- shadow maintenance --------------------------------------------------
 
@@ -432,17 +437,16 @@ class RecoveryManager:
     # -- watchdog ------------------------------------------------------------
 
     def _watchdog_loop(self):
-        config = self.config
         last_total = None
         misses = 0
         while True:
-            yield self.sim.timeout(config.watchdog_interval_ns)
+            yield self.sim.timeout(WATCHDOG_INTERVAL_NS)
             if self.degraded:
                 continue
             total = sum(self.nic.read_heartbeats().values())
             if last_total is not None and total == last_total:
                 misses += 1
-                if misses >= config.watchdog_miss_threshold:
+                if misses >= WATCHDOG_MISS_THRESHOLD:
                     misses = 0
                     last_total = None
                     self.watchdog_fired += 1

@@ -1,64 +1,70 @@
 """Pipeline configuration: parallelism knobs and per-stage cycle costs.
 
-The knobs correspond exactly to the rows of Table 3:
+:class:`PipelineConfig` holds only what the evaluation varies. The
+parallelism knobs correspond exactly to the rows of Table 3:
 
 * ``pipelined=False`` — run-to-completion baseline: one FPC thread
   executes every stage (including DMA waits) for one segment at a time.
 * ``threads_per_fpc`` — intra-FPC hardware threading (1 vs 8).
-* ``pre_replicas``/``post_replicas`` — replicated pre/post stages with
-  sequencing + reordering for correctness.
+* ``pre_replicas``/``post_replicas``/``dma_replicas`` — replicated
+  pre/post/DMA stages with sequencing + reordering for correctness.
 * ``n_flow_groups`` — protocol islands (1 vs 4).
 
-Cycle costs are the model's calibration surface; they are rough NFP
-micro-C instruction counts, not measurements, and the benchmarks only
-rely on their relative magnitudes.
+The state-cache sizes (``state_cache_lmem_entries``,
+``state_cache_cls_entries``, ``emem_cache_records``) are the Fig 14
+knobs, and ``delayed_ack_segments`` is the delayed-ACK ablation.
+
+Everything else is a module-level constant:
+
+* :class:`StageCosts` — the per-stage FPC cycle cost table. The costs
+  are the model's calibration surface; they are rough NFP micro-C
+  instruction counts, not measurements, and the benchmarks only rely on
+  their relative magnitudes.
+* :data:`RING_CAPACITY`, :data:`DESCRIPTOR_POOL`,
+  :data:`HEARTBEAT_INTERVAL_NS` — ring, descriptor-pool and heartbeat
+  sizing of the data path.
+
+The MSS is :data:`repro.proto.tcp.MSS`, shared by every stack.
+Data-path IP headers always carry ECT(0). Whether a segment carries the
+timestamp option, and whether an ACK echoes ECE, follows the
+connection's ``use_timestamps``/``use_ecn`` slab flags (Table 5).
 """
 
 
 class StageCosts:
-    """Per-operation FPC cycle costs for each pipeline stage."""
+    """Per-operation FPC cycle costs for each pipeline stage.
 
-    def __init__(
-        self,
-        pre_validate=95,
-        pre_identify=60,
-        pre_summary=85,
-        pre_steer=25,
-        proto_update=115,
-        proto_ooo_extra=130,
-        proto_fast_retransmit=90,
-        post_ack_prepare=150,
-        post_stamp=55,
-        post_stats=60,
-        post_position=70,
-        dma_issue=70,
-        ctx_notify=80,
-        ctx_doorbell_poll=40,
-        hc_window_update=70,
-        tx_alloc=50,
-        tx_header=65,
-        tx_seq=85,
-        sched_dequeue=45,
-    ):
-        self.pre_validate = pre_validate
-        self.pre_identify = pre_identify
-        self.pre_summary = pre_summary
-        self.pre_steer = pre_steer
-        self.proto_update = proto_update
-        self.proto_ooo_extra = proto_ooo_extra
-        self.proto_fast_retransmit = proto_fast_retransmit
-        self.post_ack_prepare = post_ack_prepare
-        self.post_stamp = post_stamp
-        self.post_stats = post_stats
-        self.post_position = post_position
-        self.dma_issue = dma_issue
-        self.ctx_notify = ctx_notify
-        self.ctx_doorbell_poll = ctx_doorbell_poll
-        self.hc_window_update = hc_window_update
-        self.tx_alloc = tx_alloc
-        self.tx_header = tx_header
-        self.tx_seq = tx_seq
-        self.sched_dequeue = sched_dequeue
+    A constant table: stage programs read ``StageCosts.<op>`` directly,
+    so every cost is static data. Nothing in the evaluation varies them.
+    """
+
+    pre_validate = 95
+    pre_identify = 60
+    pre_summary = 85
+    pre_steer = 25
+    proto_update = 115
+    proto_ooo_extra = 130
+    proto_fast_retransmit = 90
+    post_ack_prepare = 150
+    post_stamp = 55
+    post_stats = 60
+    post_position = 70
+    dma_issue = 70
+    ctx_notify = 80
+    ctx_doorbell_poll = 40
+    hc_window_update = 70
+    tx_alloc = 50
+    tx_header = 65
+    tx_seq = 85
+    sched_dequeue = 45
+
+
+#: Capacity of each flow group's CLS proto-in and post-in rings.
+RING_CAPACITY = 128
+#: Host-control descriptor buffers in the NIC pool (ATX flow control).
+DESCRIPTOR_POOL = 256
+#: Period at which every stage-group FPC bumps its heartbeat slot.
+HEARTBEAT_INTERVAL_NS = 50_000
 
 
 class PipelineConfig:
@@ -72,22 +78,10 @@ class PipelineConfig:
         post_replicas=4,
         n_flow_groups=4,
         dma_replicas=4,
-        ring_capacity=128,
-        descriptor_pool=256,
-        mss=1448,
-        ack_every_segment=True,
         delayed_ack_segments=1,
-        use_timestamps=True,
-        use_ecn=True,
-        tracepoints_enabled=False,
-        tcpdump_enabled=False,
-        costs=None,
-        xdp_ingress=None,
-        extra_trace_overhead_cycles=0,
         state_cache_lmem_entries=16,
         state_cache_cls_entries=512,
         emem_cache_records=16384,
-        heartbeat_interval_ns=50_000,
     ):
         if n_flow_groups < 1:
             raise ValueError("need at least one flow group")
@@ -97,22 +91,10 @@ class PipelineConfig:
         self.post_replicas = post_replicas
         self.n_flow_groups = n_flow_groups
         self.dma_replicas = dma_replicas
-        self.ring_capacity = ring_capacity
-        self.descriptor_pool = descriptor_pool
-        self.mss = mss
-        self.ack_every_segment = ack_every_segment
         self.delayed_ack_segments = max(1, delayed_ack_segments)
-        self.use_timestamps = use_timestamps
-        self.use_ecn = use_ecn
-        self.tracepoints_enabled = tracepoints_enabled
-        self.tcpdump_enabled = tcpdump_enabled
-        self.costs = costs or StageCosts()
-        self.xdp_ingress = xdp_ingress
-        self.extra_trace_overhead_cycles = extra_trace_overhead_cycles
         self.state_cache_lmem_entries = state_cache_lmem_entries
         self.state_cache_cls_entries = state_cache_cls_entries
         self.emem_cache_records = emem_cache_records
-        self.heartbeat_interval_ns = heartbeat_interval_ns
 
     @classmethod
     def baseline_run_to_completion(cls):

@@ -12,6 +12,7 @@ FPC thread.
 from collections import deque
 
 from repro.analysis import sanitizer
+from repro.flextoe.config import DESCRIPTOR_POOL, HEARTBEAT_INTERVAL_NS, RING_CAPACITY
 from repro.flextoe.ctxq import ContextQueuePair
 from repro.flextoe.descriptors import SegWork, WORK_RX, WORK_TX
 from repro.flextoe.scheduler import CarouselScheduler
@@ -21,10 +22,9 @@ from repro.flextoe.statecache import EmemStateCache, StateCache
 from repro.flextoe.state import ConnectionTable, HeartbeatBoard
 from repro.flextoe.tracing import TracepointRegistry
 from repro.nfp.memory import LAT_IMEM
-from repro.proto.ip import ECN_ECT0, ECN_NOT_ECT
 from repro.proto.packet import Frame
 from repro.sim import Interrupt, Resource, Store
-from repro.nfp.queues import ClsRing, WorkQueue
+from repro.nfp.queues import Ring
 
 
 class _ImemLevel:
@@ -71,22 +71,21 @@ class FlexToeDatapath:
         self.dma = chip.dma
         self.lookup_engine = chip.lookup_engine
         self.conn_table = ConnectionTable()
-        self.tracepoints = TracepointRegistry(enabled=config.tracepoints_enabled)
+        self.tracepoints = TracepointRegistry()
         self.capture = capture
         self.ingress_modules = ingress_modules
         self.egress_modules = egress_modules
         self.contexts = {}
         self.stats = {}
-        self.ecn_codepoint = ECN_ECT0 if config.use_ecn else ECN_NOT_ECT
         self.imem_latency_level = _ImemLevel()
 
-        cap = config.ring_capacity
-        self.pre_in = WorkQueue(sim, capacity=None, name="pre-in", backing="imem")
-        self.proto_rings = [ClsRing(sim, capacity=cap, name="proto-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.post_rings = [ClsRing(sim, capacity=cap, name="post-in-%d" % g) for g in range(config.n_flow_groups)]
-        self.dma_ring = WorkQueue(sim, capacity=None, name="dma-in", backing="imem")
-        self.ctx_ring = WorkQueue(sim, capacity=None, name="ctx-in", backing="imem")
-        self.nbi_ring = WorkQueue(sim, capacity=None, name="nbi-in", backing="imem")
+        self.pre_in = Ring(sim, name="pre-in")
+        groups = range(config.n_flow_groups)
+        self.proto_rings = [Ring(sim, capacity=RING_CAPACITY, name="proto-in-%d" % g) for g in groups]
+        self.post_rings = [Ring(sim, capacity=RING_CAPACITY, name="post-in-%d" % g) for g in groups]
+        self.dma_ring = Ring(sim, name="dma-in")
+        self.ctx_ring = Ring(sim, name="ctx-in")
+        self.nbi_ring = Ring(sim, name="nbi-in")
         # The control ring lives in host memory: a NIC facade that reboots
         # the datapath passes the same ring so the control plane's RX loop
         # survives the swap.
@@ -103,7 +102,7 @@ class FlexToeDatapath:
         # Run-to-completion baseline: one segment in the whole NIC at a
         # time — service programs contend on this lock (Table 3 row 1).
         self.serial_lock = None if config.pipelined else Resource(sim, capacity=1, name="rtc-serial")
-        self.descriptor_pool = Resource(sim, capacity=config.descriptor_pool, name="hc-descriptors")
+        self.descriptor_pool = Resource(sim, capacity=DESCRIPTOR_POOL, name="hc-descriptors")
         self._held_descriptors = deque()
 
         # conn_index -> completion event of that connection's latest RX
@@ -116,9 +115,7 @@ class FlexToeDatapath:
         self.post_chain = {}
 
         # Flow scheduler (service island SCH FPC).
-        self.scheduler = CarouselScheduler(
-            sim, _TxTriggerAdapter(self), mss=config.mss, costs=config.costs
-        )
+        self.scheduler = CarouselScheduler(sim, _TxTriggerAdapter(self))
 
         # Stage objects.
         self.emem_state_cache = EmemStateCache(capacity_records=config.emem_cache_records)
@@ -208,14 +205,13 @@ class FlexToeDatapath:
         charged via the atomic engine), so they never perturb pipeline
         timing; they die with the data-path on crash(), which is exactly
         what stops the beats and trips the control-plane watchdog."""
-        interval = self.config.heartbeat_interval_ns
         for stage_kind in sorted(self.stage_fpcs):
             for slot, _fpc in enumerate(self.stage_fpcs[stage_kind]):
                 key = (stage_kind, slot)
 
                 def publisher(_key=key):
                     while True:
-                        yield self.sim.timeout(interval)
+                        yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
                         self.heartbeats.publish(_key)
 
                 process = self.sim.process(

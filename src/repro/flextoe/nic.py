@@ -159,8 +159,7 @@ class FlexToeNic:
             # Recovery hands in a loose reconstructed state; copy it into
             # the record's slot so the data path sees one coherent row.
             record.proto.copy_from(proto)
-        post = record.post
-        post.init(
+        record.post.init(
             opaque=opaque,
             context_id=context_id,
             rx_base=rx_base,
@@ -170,8 +169,6 @@ class FlexToeNic:
             rx_region=rx_region,
             tx_region=tx_region,
         )
-        post.use_timestamps = self.config.use_timestamps
-        post.use_ecn = self.config.use_ecn
         self.datapath.install_connection(record)
         return record
 

@@ -12,7 +12,7 @@ cannot merge are dropped and re-ACKed with the expected sequence number.
 Loss recovery is go-back-N, with fast retransmit on three duplicate ACKs.
 """
 
-from repro.proto.tcp import FLAG_FIN, seq_add, seq_diff
+from repro.proto.tcp import FLAG_FIN, MSS, seq_add, seq_diff
 
 #: Fixed window-scale shift both FlexTOE endpoints negotiate (control
 #: plane sets it in the SYN; the data-path only shifts by it).
@@ -294,7 +294,7 @@ def process_hc(state, descriptor):
             state.fin_pending = True
         return HcResult(fs_sendable=state.flight_limit(), fin_armed=descriptor.fin)
     if descriptor.kind == HC_RX_UPDATE:
-        was_tight = state.rx_avail < 2 * 1448
+        was_tight = state.rx_avail < 2 * MSS
         state.rx_avail += descriptor.value
         result = HcResult(fs_sendable=state.flight_limit())
         # If the window was nearly closed, the peer may be stalled on it:

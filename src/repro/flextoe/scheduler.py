@@ -14,6 +14,9 @@ enqueued into time-wheel slots (EMEM hardware queues) by deadline.
 
 from collections import deque
 
+from repro.flextoe.config import StageCosts
+from repro.proto.tcp import MSS
+
 INTERVAL_Q8_SHIFT = 8
 
 
@@ -39,13 +42,12 @@ class _FlowEntry:
 class CarouselScheduler:
     """Time wheel + round-robin bypass, emitting TX triggers."""
 
-    def __init__(self, sim, tx_trigger_ring, mss=1448, slot_ns=1000, n_slots=4096, costs=None):
+    def __init__(self, sim, tx_trigger_ring, mss=MSS, slot_ns=1000, n_slots=4096):
         self.sim = sim
         self.tx_trigger_ring = tx_trigger_ring
         self.mss = mss
         self.slot_ns = slot_ns
         self.n_slots = n_slots
-        self.costs = costs
         self._flows = {}
         self._rr = deque()
         self._wheel = [deque() for _ in range(n_slots)]
@@ -147,7 +149,6 @@ class CarouselScheduler:
     def program(self, thread):
         """The SCH FPC program."""
         sim = self.sim
-        dequeue_cost = self.costs.sched_dequeue if self.costs else 45
         while True:
             entry = self._pop_due()
             if entry is None:
@@ -163,7 +164,7 @@ class CarouselScheduler:
             entry.queued = False
             if entry.deficit <= 0:
                 continue
-            yield from thread.compute(dequeue_cost)
+            yield from thread.compute(StageCosts.sched_dequeue)
             burst = min(self.mss, entry.deficit)
             entry.deficit -= burst
             self.triggers_issued += 1

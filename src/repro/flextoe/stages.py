@@ -9,6 +9,7 @@ memories, and moves work between rings.
 """
 
 from repro.flextoe import proto_logic
+from repro.flextoe.config import StageCosts
 from repro.flextoe.descriptors import (
     NOTIFY_FIN,
     NOTIFY_RX,
@@ -26,8 +27,8 @@ from repro.flextoe.state import atomic_add
 from repro.nfp.cam import Cam
 from repro.nfp.memory import LAT_LMEM
 from repro.proto.ethernet import ETHERTYPE_IPV4, EthernetHeader
-from repro.proto.ip import IPPROTO_TCP, Ipv4Header
-from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, TcpHeader, TcpOptions
+from repro.proto.ip import ECN_ECT0, IPPROTO_TCP, Ipv4Header
+from repro.proto.tcp import FLAG_ACK, FLAG_ECE, FLAG_FIN, FLAG_PSH, MSS, TcpHeader, TcpOptions
 
 
 def now_us(sim):
@@ -67,10 +68,9 @@ class PreStage:
 
     def _handle_rx(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         frame = work.frame
         trace = dp.tracepoints
-        yield from thread.compute(costs.pre_validate + trace.hit(dp.sim.now, "pre", "rx.segment"))
+        yield from thread.compute(StageCosts.pre_validate + trace.hit(dp.sim.now, "pre", "rx.segment"))
         if dp.capture is not None:
             yield from thread.compute(dp.capture.cost_cycles(frame))
             dp.capture.capture(dp.sim.now, "rx", frame)
@@ -108,7 +108,7 @@ class PreStage:
         if not hit:
             yield from thread.mem_read(dp.imem_latency_level)
             found, conn_index, _probes = dp.lookup_engine.lookup(four)
-            yield from thread.compute(costs.pre_identify)
+            yield from thread.compute(StageCosts.pre_identify)
             if not found:
                 self.to_control += 1
                 dp.rx_gro.skip(work.pipeline_seq)
@@ -123,7 +123,7 @@ class PreStage:
             yield dp.control_ring.put(frame)
             return
         # Sum: build the header summary; later stages never see headers.
-        yield from thread.compute(costs.pre_summary)
+        yield from thread.compute(StageCosts.pre_summary)
         tcp = frame.tcp
         work.summary = HeaderSummary(
             seq=tcp.seq,
@@ -139,31 +139,30 @@ class PreStage:
         work.flow_group = record.pre.flow_group
         self.validated += 1
         # Steer: in pipeline-sequence order through the GRO.
-        yield from thread.compute(costs.pre_steer)
+        yield from thread.compute(StageCosts.pre_steer)
         dp.rx_gro.offer(work)
 
     # -- TX ----------------------------------------------------------------
 
     def _handle_tx(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         record = dp.conn_table.get(work.conn_index)
         if record is None or not record.active:
             return
         # Alloc: a segment buffer from the island CTM pool (bounded).
         grant = yield dp.ctm_pool.request()
-        yield from thread.compute(costs.tx_alloc)
+        yield from thread.compute(StageCosts.tx_alloc)
         # Head: Ethernet and IP headers from pre-processor state.
-        yield from thread.compute(costs.tx_header)
+        yield from thread.compute(StageCosts.tx_header)
         pre = record.pre
         eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=dp.ecn_codepoint)
+        ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=ECN_ECT0)
         tcp = TcpHeader(sport=pre.local_port, dport=pre.remote_port)
         frame = dp.make_frame(eth, ip, tcp)
         work.frame = frame
         work.frame.set_meta("ctm_grant", grant)
         work.flow_group = pre.flow_group
-        yield from thread.compute(costs.pre_steer)
+        yield from thread.compute(StageCosts.pre_steer)
         yield dp.proto_rings[work.flow_group].put(work)
 
     # -- HC ----------------------------------------------------------------
@@ -171,7 +170,7 @@ class PreStage:
     def _handle_hc(self, thread, work):
         dp = self.dp
         record = dp.conn_table.get(work.hc.conn_index)
-        yield from thread.compute(dp.config.costs.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
+        yield from thread.compute(StageCosts.pre_steer + dp.tracepoints.hit(dp.sim.now, "pre", "hc.descriptor"))
         if record is None or not record.active:
             dp.release_descriptor()
             return
@@ -224,7 +223,6 @@ class ProtocolStage:
 
     def _process_one(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
         record = dp.conn_table.get(work.conn_index)
         if record is None or not record.active:
@@ -267,18 +265,17 @@ class ProtocolStage:
 
     def _process_rx(self, thread, work, record, state, snapshot):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
         summary = work.summary
-        cycles = costs.proto_update
+        cycles = StageCosts.proto_update
         result = proto_logic.process_rx(state, summary, work.frame.payload, now_us(dp.sim))
         if result.was_ooo:
-            cycles += costs.proto_ooo_extra
+            cycles += StageCosts.proto_ooo_extra
             cycles += trace.hit(dp.sim.now, "proto", "rx.out_of_order")
         if result.dropped_ooo:
             cycles += trace.hit(dp.sim.now, "proto", "rx.ooo_drop")
         if result.fast_retransmit:
-            cycles += costs.proto_fast_retransmit
+            cycles += StageCosts.proto_fast_retransmit
             cycles += trace.hit(dp.sim.now, "proto", "retransmit.fast")
         yield from thread.compute(cycles)
         send_ack = result.send_ack
@@ -327,10 +324,9 @@ class ProtocolStage:
 
     def _process_tx(self, thread, work, record, state, snapshot):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
-        result = proto_logic.process_tx(state, dp.config.mss)
-        yield from thread.compute(costs.tx_seq)
+        result = proto_logic.process_tx(state, MSS)
+        yield from thread.compute(StageCosts.tx_seq)
         if result is None:
             self.stale_tx_triggers += 1
             extra = trace.hit(dp.sim.now, "proto", "tx.stale_trigger")
@@ -359,9 +355,8 @@ class ProtocolStage:
 
     def _process_hc(self, thread, work, record, state, snapshot):
         dp = self.dp
-        costs = dp.config.costs
         result = proto_logic.process_hc(state, work.hc)
-        yield from thread.compute(costs.hc_window_update)
+        yield from thread.compute(StageCosts.hc_window_update)
         snapshot.fs_sendable = result.fs_sendable
         snapshot.free_descriptor = True
         snapshot.send_window_update = result.send_window_update
@@ -433,7 +428,6 @@ class PostStage:
 
     def _process(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         trace = dp.tracepoints
         record = dp.conn_table.get(work.conn_index)
         snapshot = work.snapshot
@@ -453,7 +447,7 @@ class PostStage:
                     grant.release()
             return False
         post = record.post
-        cycles = costs.post_stats
+        cycles = StageCosts.post_stats
         # Stats: congestion-control counters, read by the control plane.
         # Counters are commutative and go through the atomic-add engine
         # (declared in state.atomic()); replicated post instances may
@@ -511,15 +505,15 @@ class PostStage:
         work.notify = notifications
         # Ack: build the acknowledgment segment (RX and window updates).
         if snapshot.send_ack:
-            cycles += costs.post_ack_prepare
+            cycles += StageCosts.post_ack_prepare
             options = None
             if post.use_timestamps:
-                cycles += costs.post_stamp
+                cycles += StageCosts.post_stamp
                 options = TcpOptions(ts_val=now_us(dp.sim), ts_ecr=snapshot.echo_ts or 0)
             pre = record.pre
             flags = FLAG_ACK | (FLAG_ECE if (snapshot.ece and post.use_ecn) else 0)
             eth = EthernetHeader(dst=pre.peer_mac, src=record.local_mac, ethertype=ETHERTYPE_IPV4)
-            ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=dp.ecn_codepoint)
+            ip = Ipv4Header(src=record.local_ip, dst=pre.peer_ip, proto=IPPROTO_TCP, ecn=ECN_ECT0)
             tcp = TcpHeader(
                 sport=pre.local_port,
                 dport=pre.remote_port,
@@ -534,11 +528,11 @@ class PostStage:
             trace.hit(dp.sim.now, "post", "ack.dup_sent" if snapshot.dup_ack else "ack.sent")
         # Pos: physical placement for the DMA stage.
         if work.kind == WORK_RX and snapshot.payload_dest_pos is not None:
-            cycles += costs.post_position
+            cycles += StageCosts.post_position
             work.rx_offset = snapshot.payload_dest_pos % post.rx_size
             work.rx_trimmed_payload = snapshot.payload
         if work.kind == WORK_TX and snapshot.tx is not None:
-            cycles += costs.post_position
+            cycles += StageCosts.post_position
             work.tx_offset = snapshot.tx.stream_pos % post.tx_size
             work.tx_len = snapshot.tx.length
         yield from thread.compute(cycles)
@@ -581,7 +575,6 @@ class DmaStage:
 
     def _process(self, thread, work):
         dp = self.dp
-        costs = dp.config.costs
         record = dp.conn_table.get(work.conn_index)
         if record is None:
             # Torn down mid-pipeline: drop the segment, but release the
@@ -606,7 +599,7 @@ class DmaStage:
                 done = dp.sim.event()
                 dp.dma_rx_chain[work.conn_index] = done
             if payload:
-                yield from thread.compute(costs.dma_issue)
+                yield from thread.compute(StageCosts.dma_issue)
                 dp.tracepoints.hit(dp.sim.now, "dma", "dma.payload_issue")
                 events = []
                 written = 0
@@ -643,7 +636,7 @@ class DmaStage:
             if done is not None:
                 done.succeed()
         elif work.kind == WORK_TX:
-            yield from thread.compute(costs.dma_issue)
+            yield from thread.compute(StageCosts.dma_issue)
             parts = []
             events = []
             for offset, length in self._split_wrap(work.tx_offset, work.tx_len, post.tx_size):
@@ -657,7 +650,7 @@ class DmaStage:
             frame = work.frame
             frame.payload = b"".join(parts)
             frame.ip.total_len = frame.ip.wire_len + frame.tcp.wire_len + len(frame.payload)
-            if dp.config.use_timestamps:
+            if post.use_timestamps:
                 frame.tcp.options = TcpOptions(
                     ts_val=now_us(dp.sim), ts_ecr=work.snapshot.echo_ts
                 )
@@ -743,7 +736,6 @@ class CtxStage:
     def arx_program(self, thread):
         """NIC -> host notification path."""
         dp = self.dp
-        costs = dp.config.costs
         while True:
             notification = yield dp.ctx_ring.get()
             prev_chain = self._arx_chain.get(notification.context_id)
@@ -752,7 +744,7 @@ class CtxStage:
             serial = None
             if dp.serial_lock is not None:
                 serial = yield dp.serial_lock.request()
-            yield from thread.compute(costs.ctx_notify)
+            yield from thread.compute(StageCosts.ctx_notify)
             pair = dp.contexts.get(notification.context_id)
             yield dp.dma.issue(1, 32)
             if prev_chain is not None and not prev_chain.triggered:
@@ -773,10 +765,9 @@ class CtxStage:
     def atx_program(self, thread):
         """Host -> NIC doorbell/descriptor path."""
         dp = self.dp
-        costs = dp.config.costs
         while True:
             yield dp.pcie.wait_doorbell("hc")
-            yield from thread.compute(costs.ctx_doorbell_poll)
+            yield from thread.compute(StageCosts.ctx_doorbell_poll)
             dp.tracepoints.hit(dp.sim.now, "ctx", "hc.doorbell")
             # Scan all contexts for outbound descriptors. Multiple
             # updates ride one doorbell, so fetch DMAs are batched

@@ -30,14 +30,12 @@ class SwitchPortConfig:
         ecn_threshold_bytes=None,
         red_min_bytes=None,
         red_max_bytes=None,
-        red_max_drop=1.0,
     ):
         self.rate_bps = rate_bps
         self.queue_capacity_bytes = queue_capacity_bytes
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.red_min_bytes = red_min_bytes
         self.red_max_bytes = red_max_bytes
-        self.red_max_drop = red_max_drop
 
 
 class _EgressQueue:
@@ -66,7 +64,7 @@ class _EgressQueue:
         if config.red_min_bytes is not None and self.bytes_queued > config.red_min_bytes:
             span = max(1, (config.red_max_bytes or config.queue_capacity_bytes) - config.red_min_bytes)
             excess = self.bytes_queued - config.red_min_bytes
-            drop_p = min(1.0, excess / span) * config.red_max_drop
+            drop_p = min(1.0, excess / span)
             if self.rng.random() < drop_p:
                 self.dropped_red += 1
                 return

@@ -14,14 +14,13 @@ from repro.nfp.fpc import Fpc, FpcThread
 from repro.nfp.island import Island
 from repro.nfp.memory import MEM_CLS, MEM_CTM, MEM_EMEM, MEM_EMEM_CACHE, MEM_IMEM, MEM_LMEM, MemoryLevel
 from repro.nfp.cam import Cam, HashLookupEngine
-from repro.nfp.queues import ClsRing, WorkQueue
+from repro.nfp.queues import Ring
 from repro.nfp.dma import DmaEngine
 from repro.nfp.mac import MacBlock
 from repro.nfp.pcie import PcieBlock
 
 __all__ = [
     "Cam",
-    "ClsRing",
     "DmaEngine",
     "Fpc",
     "FpcThread",
@@ -38,5 +37,5 @@ __all__ = [
     "Nfp4000",
     "NfpConfig",
     "PcieBlock",
-    "WorkQueue",
+    "Ring",
 ]

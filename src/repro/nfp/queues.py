@@ -1,75 +1,29 @@
 """Inter-FPC communication structures (paper §4, §4.1).
 
-* :class:`ClsRing` — island-local producer/consumer ring in CLS; the
-  fastest intra-island mechanism.
-* :class:`WorkQueue` — IMEM/EMEM-backed work queue for cross-island
-  communication; the queue memory engine supports work stealing, so a
-  WorkQueue may feed several consumer FPCs.
+* :class:`Ring` — a producer/consumer work ring: island-local in CLS
+  (the fastest intra-island mechanism) or IMEM/EMEM-backed for
+  cross-island communication, where the queue memory engine supports
+  work stealing so one ring may feed several consumer FPCs.
 * :class:`TicketLock` — FPC synchronization primitive used by the
   sequencer to order segments.
-
-Each structure records the access latency its backing memory imposes;
-stage programs charge that latency through their FPC thread.
 """
 
 from repro.sim import Store
-from repro.nfp.memory import LAT_CLS, LAT_EMEM, LAT_IMEM
 
 
-class ClsRing:
-    """A bounded ring in island-local CLS memory."""
+class Ring:
+    """A work ring between FPCs, bounded by ``capacity`` (None: unbounded)."""
 
-    __slots__ = ("store", "access_latency", "name", "tap")
+    __slots__ = ("store", "name", "tap")
 
-    def __init__(self, sim, capacity=64, name="cls-ring"):
+    def __init__(self, sim, capacity=None, name="ring"):
         self.store = Store(sim, capacity=capacity, name=name)
-        self.access_latency = LAT_CLS
         self.name = name
         # Optional enqueue observer (``tap(item)``), fired synchronously
         # before the item enters the store. Used by the happens-before
         # runtime monitor (repro.analysis.hbmonitor); None in production,
         # so the cost is one attribute check per put.
         self.tap = None
-
-    def put(self, item):
-        if self.tap is not None:
-            self.tap(item)
-        return self.store.put(item)
-
-    def get(self):
-        return self.store.get()
-
-    def try_put(self, item):
-        accepted = self.store.try_put(item)
-        if accepted and self.tap is not None:
-            self.tap(item)
-        return accepted
-
-    def force_put(self, item):
-        """Unconditional enqueue past the capacity bound (overflow path)."""
-        if self.tap is not None:
-            self.tap(item)
-        return self.store.force_put(item)
-
-    def __len__(self):
-        return len(self.store)
-
-    @property
-    def max_occupancy(self):
-        return self.store.max_occupancy
-
-
-class WorkQueue:
-    """An IMEM- or EMEM-backed work queue (cross-island, work-stealing)."""
-
-    __slots__ = ("store", "access_latency", "backing", "name", "tap")
-
-    def __init__(self, sim, capacity=None, name="work-queue", backing="imem"):
-        self.store = Store(sim, capacity=capacity, name=name)
-        self.access_latency = LAT_IMEM if backing == "imem" else LAT_EMEM
-        self.backing = backing
-        self.name = name
-        self.tap = None  # see ClsRing.tap
 
     def put(self, item):
         if self.tap is not None:

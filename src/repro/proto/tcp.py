@@ -21,6 +21,10 @@ DATA_PATH_FLAGS = FLAG_ACK | FLAG_FIN | FLAG_PSH | FLAG_ECE | FLAG_CWR
 
 BASE_HEADER_LEN = 20
 
+#: Maximum segment size of every stack: a 1500 B Ethernet MTU minus the
+#: 20 B IP header, the 20 B TCP header and the 12 B timestamp option.
+MSS = 1448
+
 _SEQ_MOD = 1 << 32
 _SEQ_HALF = 1 << 31
 

@@ -25,7 +25,7 @@ import os
 from repro.flextoe.module import ACTION_DROP, ACTION_PASS, ACTION_REDIRECT, ACTION_TX, DatapathModule
 from repro.proto.packet import Frame
 from repro.xdp.program import XDP_DROP, XDP_PASS, XDP_REDIRECT, XDP_TX
-from repro.xdp.verifier import verify
+from repro.analysis.verifier import verify
 
 
 def jit_enabled_default():
@@ -97,7 +97,9 @@ class XdpAdapter(DatapathModule):
         else:
             result = self._run_vm(frame, meta)
         self.results[result] = self.results.get(result, 0) + 1
-        return _RESULT_TO_ACTION.get(result, ACTION_PASS)
+        # An unknown return code is a buggy program: like Linux's
+        # XDP_ABORTED, fail closed and drop the packet.
+        return _RESULT_TO_ACTION.get(result, ACTION_DROP)
 
     def _run_vm(self, frame, meta):
         wire = bytearray(frame.pack())

@@ -117,10 +117,10 @@ def test_any_permutation_with_drops_releases_in_order(order, drops):
 
 
 def test_output_ring_force_put_when_full():
-    from repro.nfp.queues import ClsRing
+    from repro.nfp.queues import Ring
 
     sim = Simulator()
-    ring = ClsRing(sim, capacity=2)
+    ring = Ring(sim, capacity=2)
     rob = ReorderBuffer(sim, output_ring=ring)
     seqr = Sequencer()
     for _ in range(5):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nfp import Cam, ClsRing, HashLookupEngine, WorkQueue
+from repro.nfp import Cam, HashLookupEngine, Ring
 from repro.nfp.memory import MEM_CLS, MEM_EMEM, MemoryLevel
 from repro.nfp.queues import TicketLock
 from repro.sim import Simulator
@@ -97,7 +97,7 @@ def test_lookup_engine_update_in_place():
 
 def test_cls_ring_fifo():
     sim = Simulator()
-    ring = ClsRing(sim, capacity=4)
+    ring = Ring(sim, capacity=4)
     got = []
 
     def producer(sim):
@@ -118,7 +118,7 @@ def test_cls_ring_fifo():
 
 def test_work_queue_multiple_consumers_drain_everything():
     sim = Simulator()
-    queue = WorkQueue(sim, backing="emem")
+    queue = Ring(sim)
     drained = []
 
     def consumer(sim, name):
@@ -143,12 +143,6 @@ def test_work_queue_multiple_consumers_drain_everything():
     # Work stealing: both consumers got something.
     names = {name for name, _ in drained}
     assert names == {"c0", "c1"}
-
-
-def test_work_queue_backing_latency():
-    sim = Simulator()
-    assert WorkQueue(sim, backing="imem").access_latency == 250
-    assert WorkQueue(sim, backing="emem").access_latency == 500
 
 
 def test_ticket_lock_fairness():

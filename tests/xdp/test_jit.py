@@ -171,6 +171,16 @@ def test_adapter_results_identical_across_backends():
     assert jit_cost == vm_cost
 
 
+@pytest.mark.parametrize("jit", [True, False])
+def test_adapter_unknown_return_code_drops(jit):
+    # Like Linux's XDP_ABORTED: an out-of-range action fails closed.
+    adapter = XdpAdapter(program=assemble("mov r0, 9\nexit"), maps={}, jit=jit)
+    frame = make_tcp_frame(0xA, 0xB, GOOD_IP, DST_IP, 1000, 2000, flags=FLAG_ACK, payload=b"p")
+    assert adapter.handle(frame, None) == ACTION_DROP
+    assert adapter.results[9] == 1
+    assert adapter.invocations == 1
+
+
 def test_jit_run_counters():
     program, maps = _fresh("null")
     jit = compile_program(program, maps)

@@ -96,6 +96,9 @@ def test_verifier_rejects_uninitialized_read():
         verify(assemble("add r0, r5\nexit"))
     with pytest.raises(VerifierError):
         verify(assemble("ldxw r0, [r4+0]\nexit"))
+    # exit returns r0, so r0 must be initialized on every path.
+    with pytest.raises(VerifierError, match="exit reads uninitialized r0"):
+        verify(assemble("exit"), {})
 
 
 def test_verifier_tracks_helper_clobbers():
